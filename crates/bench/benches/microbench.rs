@@ -1,5 +1,6 @@
-//! Microbenchmarks of the hot paths: header codec, window operations,
-//! fragmentation arithmetic, and raw simulator event throughput.
+//! Microbenchmarks of the hot paths: header codec, CRC-32C, window
+//! operations, fragmentation arithmetic, and raw simulator event
+//! throughput.
 
 use bytes::{Bytes, BytesMut};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -37,6 +38,20 @@ fn header_codec(c: &mut Criterion) {
             black_box(Header::decode(&mut s).unwrap());
         })
     });
+    g.finish();
+}
+
+/// CRC-32C throughput at the two sizes the stack checksums: one 8 KB
+/// integrity trailer and one 500 KB delivery witness.
+fn crc32c(c: &mut Criterion) {
+    let mut g = c.benchmark_group("micro/crc32c");
+    for (name, len) in [("8kB-trailer", 8_000usize), ("500kB-witness", 500_000)] {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(rmwire::crc32c(black_box(&data))))
+        });
+    }
     g.finish();
 }
 
@@ -147,6 +162,7 @@ fn loopback_engine(c: &mut Criterion) {
 criterion_group!(
     micro,
     header_codec,
+    crc32c,
     window_ops,
     fragmentation,
     sim_engine,
